@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build test race bench bench-smoke bench-json figures figures-full cover fmt vet clean ci serve soak-smoke fuzz-smoke cluster-smoke jobs-smoke pipeline-smoke eval-smoke load chaos
+.PHONY: build test race race-smoke e2ebench-check bench bench-smoke bench-json figures figures-full cover fmt vet clean ci serve soak-smoke fuzz-smoke cluster-smoke jobs-smoke pipeline-smoke eval-smoke load chaos
 
 build:
 	$(GO) build ./...
@@ -12,6 +12,17 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+## race-smoke: the race detector over the concurrent/guarded packages
+## and the serving/resilience stack. ci.yml runs this target, so the
+## package list lives only here.
+race-smoke:
+	$(GO) test -race ./internal/qk/ ./internal/core/ ./internal/cover/ ./internal/server/ ./internal/solvecache/ ./internal/obs/ ./internal/resilience/ ./internal/client/ ./internal/loadgen/ ./internal/cluster/ ./internal/jobs/ ./internal/durable/ ./internal/wal/ ./internal/pipeline/ ./internal/algo/ ./internal/evo/ ./internal/submod/ ./internal/eval/ ./internal/incr/ ./internal/heapq/
+
+## e2ebench-check: vet and test the end-to-end benchmark, a nested
+## module that the root `go test ./...` does not reach.
+e2ebench-check:
+	cd e2ebench && $(GO) vet ./... && $(GO) test ./...
 
 ## bench: every benchmark, including one run of each paper figure.
 bench:
@@ -97,11 +108,11 @@ eval-smoke:
 	$(GO) run ./cmd/bcceval
 
 ## ci: what .github/workflows/ci.yml runs — build (including the server,
-## gateway, load-driver and eval binaries), tests, vet, the race
-## detector over the concurrent/guarded packages and the
-## serving/resilience stack, the chaos soak, the cluster smoke, the
-## durable-jobs smoke, the continuous-pipeline smoke, a fuzz smoke, the
-## solution-quality gate, and a one-iteration benchmark smoke.
+## gateway, load-driver and eval binaries), tests, vet, the race smoke,
+## the end-to-end benchmark's own vet and tests, the chaos soak, the
+## cluster smoke, the durable-jobs smoke, the continuous-pipeline smoke,
+## a fuzz smoke, the solution-quality gate, and a one-iteration
+## benchmark smoke.
 ci:
 	$(GO) build ./...
 	$(GO) build -o /dev/null ./cmd/bccserver
@@ -110,7 +121,8 @@ ci:
 	$(GO) build -o /dev/null ./cmd/bcceval
 	$(GO) test -shuffle=on ./...
 	$(GO) vet ./...
-	$(GO) test -race ./internal/qk/ ./internal/core/ ./internal/cover/ ./internal/server/ ./internal/solvecache/ ./internal/obs/ ./internal/resilience/ ./internal/client/ ./internal/loadgen/ ./internal/cluster/ ./internal/jobs/ ./internal/durable/ ./internal/wal/ ./internal/pipeline/ ./internal/algo/ ./internal/evo/ ./internal/submod/ ./internal/eval/ ./internal/incr/
+	$(MAKE) race-smoke
+	$(MAKE) e2ebench-check
 	$(MAKE) soak-smoke
 	$(MAKE) cluster-smoke
 	$(MAKE) jobs-smoke

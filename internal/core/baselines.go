@@ -1,8 +1,6 @@
 package core
 
 import (
-	"container/heap"
-	"math"
 	"math/rand"
 	"time"
 
@@ -63,72 +61,24 @@ func IG1Fill(g *guard.Guard, t *cover.Tracker) int { return ig1Fill(g, t) }
 // ig1Fill runs the IG1 selection loop on an existing tracker until no
 // further query cover fits the remaining budget, returning the number of
 // covers selected. It is both the IG1 baseline and the leftover-budget
-// completion pass of A^BCC. Query scores live in a lazily revalidated
-// max-heap and are refreshed only for the queries a selected classifier
-// can affect.
+// completion pass of A^BCC.
 func ig1Fill(g *guard.Guard, t *cover.Tracker) int {
-	in := t.Instance()
-	h := &entryHeap{}
-	heap.Init(h)
-	score := make([]float64, in.NumQueries())
-	covSets := make([][]propset.Set, in.NumQueries())
-	covCost := make([]float64, in.NumQueries())
-
-	refresh := func(qi int) {
-		if t.Covered(qi) {
-			score[qi] = 0
-			return
-		}
-		cost, sets := t.MinCoverCost(qi, nil)
-		covCost[qi], covSets[qi] = cost, sets
-		u := in.Queries()[qi].Utility
-		switch {
-		case math.IsInf(cost, 1):
-			score[qi] = 0
-		case cost == 0:
-			score[qi] = math.Inf(1)
-		default:
-			score[qi] = u / cost
-		}
-		if score[qi] > 0 {
-			heap.Push(h, qEntry{qi, score[qi]})
-		}
-	}
-	for qi := range in.Queries() {
-		refresh(qi)
-	}
-
+	q := cover.NewIG1Queue(t)
 	steps := 0
-	for h.Len() > 0 {
+	for q.Len() > 0 {
 		if g.Check() {
 			break
 		}
-		e := heap.Pop(h).(qEntry)
-		qi := e.qi
-		if t.Covered(qi) || score[qi] == 0 {
+		qi, ok := q.Pop()
+		if !ok {
 			continue
 		}
-		if e.score > score[qi]+1e-12 || e.score < score[qi]-1e-12 {
-			// Stale entry; re-push current value.
-			heap.Push(h, qEntry{qi, score[qi]})
+		if q.CoverCost(qi) > t.Remaining()+1e-9 {
+			q.Drop(qi) // cover may get cheaper later; it will be refreshed
 			continue
 		}
-		if covCost[qi] > t.Remaining()+1e-9 {
-			score[qi] = 0 // cover may get cheaper later; it will be refreshed
-			continue
-		}
-		// Select the whole cover set.
-		touched := map[int]bool{}
-		for _, c := range covSets[qi] {
-			for _, q2 := range t.RelevantQueries(c) {
-				touched[q2] = true
-			}
-			t.Add(c)
-		}
+		q.Select(qi)
 		steps++
-		for q2 := range touched {
-			refresh(q2)
-		}
 	}
 	return steps
 }
@@ -140,110 +90,18 @@ func ig1Fill(g *guard.Guard, t *cover.Tracker) int {
 func SolveIG2(in *model.Instance) Result {
 	start := time.Now()
 	t := cover.New(in)
-	// util[c] = Σ utilities of uncovered queries containing classifier c.
-	util := make(map[string]float64)
-	for _, q := range in.Queries() {
-		u := q.Utility
-		q.Props.Subsets(func(sub propset.Set) {
-			util[sub.Key()] += u
-		})
-	}
-	classifiers := in.Classifiers()
-	scoreOf := func(ci int) float64 {
-		c := classifiers[ci]
-		u := util[c.Props.Key()]
-		if u <= 0 {
-			return 0
-		}
-		if c.Cost == 0 {
-			return math.Inf(1)
-		}
-		return u / c.Cost
-	}
-	h := &centryHeap{}
-	heap.Init(h)
-	for ci := range classifiers {
-		if s := scoreOf(ci); s > 0 {
-			heap.Push(h, cEntry{ci, s})
-		}
-	}
+	q := cover.NewIG2Queue(t)
 	steps := 0
-	for h.Len() > 0 {
-		e := heap.Pop(h).(cEntry)
-		c := classifiers[e.ci]
-		if t.Has(c.Props) {
+	for q.Len() > 0 {
+		ci, ok := q.Pop()
+		if !ok {
 			continue
 		}
-		s := scoreOf(e.ci)
-		if s == 0 {
-			continue
-		}
-		if e.score > s+1e-12 {
-			heap.Push(h, cEntry{e.ci, s})
-			continue
-		}
-		if c.Cost > t.Remaining()+1e-9 {
+		if in.Classifiers()[ci].Cost > t.Remaining()+1e-9 {
 			continue // permanently unaffordable
 		}
-		// Select and update utilities of classifiers sharing newly covered
-		// queries.
-		rel := t.RelevantQueries(c.Props)
-		before := make([]bool, len(rel))
-		for i, qi := range rel {
-			before[i] = t.Covered(qi)
-		}
-		t.Add(c.Props)
+		q.Select(ci)
 		steps++
-		for i, qi := range rel {
-			if t.Covered(qi) && !before[i] {
-				u := in.Queries()[qi].Utility
-				in.Queries()[qi].Props.Subsets(func(sub propset.Set) {
-					util[sub.Key()] -= u
-				})
-			}
-		}
 	}
 	return resultFrom(t, steps, 0, start)
-}
-
-type qEntry struct {
-	qi    int
-	score float64
-}
-
-type entryHeap []qEntry
-
-func (h entryHeap) Len() int           { return len(h) }
-func (h entryHeap) Less(i, j int) bool { return h[i].score > h[j].score }
-func (h entryHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
-func (h *entryHeap) Push(x interface{}) {
-	*h = append(*h, x.(qEntry))
-}
-func (h *entryHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	it := old[n-1]
-	*h = old[:n-1]
-	return it
-}
-
-type cEntry struct {
-	ci    int
-	score float64
-}
-
-type centryHeap []cEntry
-
-func (h centryHeap) Len() int           { return len(h) }
-func (h centryHeap) Less(i, j int) bool { return h[i].score > h[j].score }
-func (h centryHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
-func (h *centryHeap) Push(x interface{}) {
-	*h = append(*h, x.(cEntry))
-}
-func (h *centryHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	it := old[n-1]
-	*h = old[:n-1]
-	return it
 }

@@ -4,8 +4,11 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sort"
+	"strings"
 	"testing"
 
+	"repro/internal/dataset"
 	"repro/internal/model"
 	"repro/internal/propset"
 )
@@ -215,6 +218,24 @@ func TestDeterministicWithSeed(t *testing.T) {
 	if a.Utility != b.Utility || a.Cost != b.Cost {
 		t.Fatalf("same seed, different outcomes: %v/%v vs %v/%v",
 			a.Utility, a.Cost, b.Utility, b.Cost)
+	}
+
+	// A cold-solve-sized instance: big enough that a plan depending on
+	// map iteration order differs between runs.
+	big := dataset.Synthetic(7*1_000_003+5, 150, 30)
+	plan := func() string {
+		var keys []string
+		for _, c := range Solve(big, Options{Seed: 9}).Solution.Classifiers() {
+			keys = append(keys, c.Props.String())
+		}
+		sort.Strings(keys)
+		return strings.Join(keys, " ")
+	}
+	want := plan()
+	for run := 1; run < 10; run++ {
+		if got := plan(); got != want {
+			t.Fatalf("run %d: plan %q, first run %q", run, got, want)
+		}
 	}
 }
 

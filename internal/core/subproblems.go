@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"sort"
 
 	"repro/internal/cover"
 	"repro/internal/guard"
@@ -145,8 +146,20 @@ func buildSubproblems(g *guard.Guard, t *cover.Tracker, allowed map[string]bool,
 	for i, c := range sp.nodeSets {
 		sp.graph.SetCost(i, in.Cost(c))
 	}
-	for k, w := range edges {
-		sp.graph.AddEdgeMerged(k[0], k[1], w)
+	// Add edges in (a, b) order, not map order: the order fixes the
+	// adjacency lists, and through them QK's heap pushes and tie-breaks.
+	keys := make([][2]int, 0, len(edges))
+	for k := range edges {
+		keys = append(keys, k)
+	}
+	sort.Slice(keys, func(i, j int) bool {
+		if keys[i][0] != keys[j][0] {
+			return keys[i][0] < keys[j][0]
+		}
+		return keys[i][1] < keys[j][1]
+	})
+	for _, k := range keys {
+		sp.graph.AddEdgeMerged(k[0], k[1], edges[k])
 	}
 	if sp.vStar >= 0 {
 		sp.graph.SetCost(sp.vStar, 0)

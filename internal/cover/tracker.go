@@ -2,7 +2,9 @@
 // BCC, GMC3 and ECC solvers: it maintains, for a fixed instance, the set
 // of selected classifiers, the residual (not-yet-testable) part of every
 // query, covered flags, total utility and total cost, all updated in time
-// proportional to the classifiers' relevance lists.
+// proportional to the classifiers' relevance lists. It also holds the
+// IG1 and IG2 greedy queues those solvers' baselines share (IG1Queue,
+// IG2Queue).
 package cover
 
 import (

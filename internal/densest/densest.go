@@ -15,9 +15,9 @@
 package densest
 
 import (
-	"container/heap"
 	"math"
 
+	"repro/internal/heapq"
 	"repro/internal/maxflow"
 	"repro/internal/wgraph"
 )
@@ -199,10 +199,10 @@ func PeelHypergraph(h Hypergraph) Result {
 	}
 	key := func(v int) float64 { return deg[v] / math.Max(h.NodeCost[v], eps) }
 
-	pq := &peelHeap{}
-	heap.Init(pq)
+	// The lowest key pops first: heap keys are negated.
+	var pq heapq.Max
 	for v := 0; v < n; v++ {
-		heap.Push(pq, peelItem{v, key(v)})
+		pq.Push(heapq.Entry{I: v, Key: -key(v)})
 	}
 
 	bestRatio := ratio(totalW, totalC)
@@ -211,15 +211,15 @@ func PeelHypergraph(h Hypergraph) Result {
 	for remaining > 1 {
 		var v int
 		for {
-			it := heap.Pop(pq).(peelItem)
-			if !alive[it.v] {
+			it := pq.Pop()
+			if !alive[it.I] {
 				continue
 			}
-			if it.key > key(it.v)+eps {
-				heap.Push(pq, peelItem{it.v, key(it.v)})
+			if -it.Key > key(it.I)+eps {
+				pq.Push(heapq.Entry{I: it.I, Key: -key(it.I)})
 				continue
 			}
-			v = it.v
+			v = it.I
 			break
 		}
 		alive[v] = false
@@ -235,7 +235,7 @@ func PeelHypergraph(h Hypergraph) Result {
 			for _, u := range e.Nodes {
 				if alive[u] {
 					deg[u] -= e.W
-					heap.Push(pq, peelItem{u, key(u)})
+					pq.Push(heapq.Entry{I: u, Key: -key(u)})
 				}
 			}
 		}
@@ -273,25 +273,4 @@ func PeelHypergraph(h Hypergraph) Result {
 		}
 	}
 	return Result{Nodes: nodes, Weight: w, Cost: c, Ratio: ratio(w, c)}
-}
-
-type peelItem struct {
-	v   int
-	key float64
-}
-
-type peelHeap []peelItem
-
-func (h peelHeap) Len() int           { return len(h) }
-func (h peelHeap) Less(i, j int) bool { return h[i].key < h[j].key }
-func (h peelHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
-func (h *peelHeap) Push(x interface{}) {
-	*h = append(*h, x.(peelItem))
-}
-func (h *peelHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	it := old[n-1]
-	*h = old[:n-1]
-	return it
 }

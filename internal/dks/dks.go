@@ -14,12 +14,12 @@
 package dks
 
 import (
-	"container/heap"
 	"math"
 	"math/rand"
 	"sort"
 
 	"repro/internal/guard"
+	"repro/internal/heapq"
 	"repro/internal/wgraph"
 )
 
@@ -118,28 +118,28 @@ func GreedyPeel(g *wgraph.Graph, k int) []int {
 		deg[v] = g.WeightedDegree(v)
 		alive[v] = true
 	}
-	h := &floatHeap{}
-	heap.Init(h)
+	// The lowest degree pops first: keys are negated degrees.
+	var h heapq.Max
 	for v := 0; v < n; v++ {
-		heap.Push(h, heapItem{v, deg[v]})
+		h.Push(heapq.Entry{I: v, Key: -deg[v]})
 	}
 	remaining := n
 	for remaining > k {
-		it := heap.Pop(h).(heapItem)
-		if !alive[it.node] {
+		it := h.Pop()
+		if !alive[it.I] {
 			continue
 		}
-		if it.key > deg[it.node]+1e-12 {
+		if -it.Key > deg[it.I]+1e-12 {
 			// Stale entry; re-push with the current key.
-			heap.Push(h, heapItem{it.node, deg[it.node]})
+			h.Push(heapq.Entry{I: it.I, Key: -deg[it.I]})
 			continue
 		}
-		alive[it.node] = false
+		alive[it.I] = false
 		remaining--
-		g.Neighbors(it.node, func(u int, w float64, _ int) {
+		g.Neighbors(it.I, func(u int, w float64, _ int) {
 			if alive[u] {
 				deg[u] -= w
-				heap.Push(h, heapItem{u, deg[u]})
+				h.Push(heapq.Entry{I: u, Key: -deg[u]})
 			}
 		})
 	}
@@ -190,25 +190,24 @@ func GreedyExpand(g *wgraph.Graph, k int, start int) []int {
 		})
 	}
 	add(start)
-	h := &floatHeapMax{}
-	heap.Init(h)
+	var h heapq.Max
 	for v := 0; v < n; v++ {
 		if !in[v] && gain[v] > 0 {
-			heap.Push(h, heapItem{v, gain[v]})
+			h.Push(heapq.Entry{I: v, Key: gain[v]})
 		}
 	}
 	for len(sel) < k {
 		var next int = -1
 		for h.Len() > 0 {
-			it := heap.Pop(h).(heapItem)
-			if in[it.node] {
+			it := h.Pop()
+			if in[it.I] {
 				continue
 			}
-			if it.key < gain[it.node]-1e-12 {
-				heap.Push(h, heapItem{it.node, gain[it.node]})
+			if it.Key < gain[it.I]-1e-12 {
+				h.Push(heapq.Entry{I: it.I, Key: gain[it.I]})
 				continue
 			}
-			next = it.node
+			next = it.I
 			break
 		}
 		if next < 0 {
@@ -225,7 +224,7 @@ func GreedyExpand(g *wgraph.Graph, k int, start int) []int {
 		add(next)
 		g.Neighbors(next, func(u int, w float64, _ int) {
 			if !in[u] {
-				heap.Push(h, heapItem{u, gain[u]})
+				h.Push(heapq.Entry{I: u, Key: gain[u]})
 			}
 		})
 	}
@@ -371,39 +370,4 @@ func BruteForce(g *wgraph.Graph, k int) []int {
 	}
 	rec(0)
 	return best
-}
-
-// heap plumbing
-
-type heapItem struct {
-	node int
-	key  float64
-}
-
-type floatHeap []heapItem
-
-func (h floatHeap) Len() int            { return len(h) }
-func (h floatHeap) Less(i, j int) bool  { return h[i].key < h[j].key }
-func (h floatHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *floatHeap) Push(x interface{}) { *h = append(*h, x.(heapItem)) }
-func (h *floatHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	it := old[n-1]
-	*h = old[:n-1]
-	return it
-}
-
-type floatHeapMax []heapItem
-
-func (h floatHeapMax) Len() int            { return len(h) }
-func (h floatHeapMax) Less(i, j int) bool  { return h[i].key > h[j].key }
-func (h floatHeapMax) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *floatHeapMax) Push(x interface{}) { *h = append(*h, x.(heapItem)) }
-func (h *floatHeapMax) Pop() interface{} {
-	old := *h
-	n := len(old)
-	it := old[n-1]
-	*h = old[:n-1]
-	return it
 }

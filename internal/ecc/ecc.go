@@ -18,7 +18,6 @@
 package ecc
 
 import (
-	"container/heap"
 	"context"
 	"math"
 	"math/rand"
@@ -379,68 +378,19 @@ func SolveRand(in *model.Instance, seed int64) Result {
 }
 
 // SolveIG1 is IG1(E): greedy per-query covers until everything coverable
-// is covered; output the best-ratio prefix. Query scores live in a lazily
-// revalidated max-heap (see gmc3.SolveIG1 for the identical pattern).
+// is covered; output the best-ratio prefix.
 func SolveIG1(in *model.Instance) Result {
 	start := time.Now()
 	t := cover.New(in)
-	h := &ratioHeap{}
-	heap.Init(h)
-	score := make([]float64, in.NumQueries())
-	covSets := make([][]propset.Set, in.NumQueries())
-
-	refresh := func(qi int) {
-		if t.Covered(qi) {
-			score[qi] = 0
-			return
-		}
-		cost, sets := t.MinCoverCost(qi, nil)
-		covSets[qi] = sets
-		u := in.Queries()[qi].Utility
-		switch {
-		case math.IsInf(cost, 1):
-			score[qi] = 0
-		case cost == 0:
-			score[qi] = math.Inf(1)
-		default:
-			score[qi] = u / cost
-		}
-		if score[qi] > 0 {
-			heap.Push(h, ratioEntry{qi, score[qi]})
-		}
-	}
-	for qi := range in.Queries() {
-		refresh(qi)
-	}
-
+	q := cover.NewIG1Queue(t)
 	var order []propset.Set
 	bestLen, bestRatio := 0, 0.0
-	for h.Len() > 0 {
-		e := heap.Pop(h).(ratioEntry)
-		qi := e.i
-		if t.Covered(qi) || score[qi] == 0 {
+	for q.Len() > 0 {
+		qi, ok := q.Pop()
+		if !ok {
 			continue
 		}
-		if e.score > score[qi]+1e-12 || e.score < score[qi]-1e-12 {
-			heap.Push(h, ratioEntry{qi, score[qi]})
-			continue
-		}
-		if len(covSets[qi]) == 0 {
-			score[qi] = 0
-			continue
-		}
-		touched := map[int]bool{}
-		for _, c := range covSets[qi] {
-			for _, q2 := range t.RelevantQueries(c) {
-				touched[q2] = true
-			}
-			if t.Add(c) {
-				order = append(order, c)
-			}
-		}
-		for q2 := range touched {
-			refresh(q2)
-		}
+		order = append(order, q.Select(qi)...)
 		if r := ratio(t.Utility(), t.Cost()); r > bestRatio {
 			bestRatio, bestLen = r, len(order)
 		}
@@ -453,85 +403,19 @@ func SolveIG1(in *model.Instance) Result {
 func SolveIG2(in *model.Instance) Result {
 	start := time.Now()
 	t := cover.New(in)
-	util := make(map[string]float64)
-	for _, q := range in.Queries() {
-		u := q.Utility
-		q.Props.Subsets(func(sub propset.Set) {
-			util[sub.Key()] += u
-		})
-	}
-	classifiers := in.Classifiers()
-	scoreOf := func(ci int) float64 {
-		c := classifiers[ci]
-		u := util[c.Props.Key()]
-		if u <= 0 {
-			return 0
-		}
-		if c.Cost == 0 {
-			return math.Inf(1)
-		}
-		return u / c.Cost
-	}
-	h := &ratioHeap{}
-	heap.Init(h)
-	for ci := range classifiers {
-		if sc := scoreOf(ci); sc > 0 {
-			heap.Push(h, ratioEntry{ci, sc})
-		}
-	}
+	q := cover.NewIG2Queue(t)
 	var order []propset.Set
 	bestLen, bestRatio := 0, 0.0
-	for h.Len() > 0 {
-		e := heap.Pop(h).(ratioEntry)
-		c := classifiers[e.i]
-		if t.Has(c.Props) {
+	for q.Len() > 0 {
+		ci, ok := q.Pop()
+		if !ok {
 			continue
 		}
-		sc := scoreOf(e.i)
-		if sc == 0 {
-			continue
-		}
-		if e.score > sc+1e-12 {
-			heap.Push(h, ratioEntry{e.i, sc})
-			continue
-		}
-		rel := t.RelevantQueries(c.Props)
-		before := make([]bool, len(rel))
-		for i, qi := range rel {
-			before[i] = t.Covered(qi)
-		}
-		t.Add(c.Props)
-		order = append(order, c.Props)
-		for i, qi := range rel {
-			if t.Covered(qi) && !before[i] {
-				u := in.Queries()[qi].Utility
-				in.Queries()[qi].Props.Subsets(func(sub propset.Set) {
-					util[sub.Key()] -= u
-				})
-			}
-		}
+		q.Select(ci)
+		order = append(order, in.Classifiers()[ci].Props)
 		if r := ratio(t.Utility(), t.Cost()); r > bestRatio {
 			bestRatio, bestLen = r, len(order)
 		}
 	}
 	return resultOf(in, order[:bestLen], start)
-}
-
-type ratioEntry struct {
-	i     int
-	score float64
-}
-
-type ratioHeap []ratioEntry
-
-func (h ratioHeap) Len() int            { return len(h) }
-func (h ratioHeap) Less(i, j int) bool  { return h[i].score > h[j].score }
-func (h ratioHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *ratioHeap) Push(x interface{}) { *h = append(*h, x.(ratioEntry)) }
-func (h *ratioHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	it := old[n-1]
-	*h = old[:n-1]
-	return it
 }

@@ -14,7 +14,6 @@
 package gmc3
 
 import (
-	"container/heap"
 	"context"
 	"math"
 	"math/rand"
@@ -345,66 +344,16 @@ func SolveRand(in *model.Instance, target float64, seed int64) Result {
 }
 
 // SolveIG1 is IG1(G): repeatedly select the cheapest cover of the query
-// with the best utility-to-cost ratio, until the target is reached. Query
-// scores are kept in a lazily revalidated max-heap and refreshed only for
-// the queries a selected classifier can affect.
+// with the best utility-to-cost ratio, until the target is reached.
 func SolveIG1(in *model.Instance, target float64) Result {
 	start := time.Now()
 	t := cover.New(in)
-	h := &scoreHeap{}
-	heap.Init(h)
-	score := make([]float64, in.NumQueries())
-	covSets := make([][]propset.Set, in.NumQueries())
-
-	refresh := func(qi int) {
-		if t.Covered(qi) {
-			score[qi] = 0
-			return
-		}
-		cost, sets := t.MinCoverCost(qi, nil)
-		covSets[qi] = sets
-		u := in.Queries()[qi].Utility
-		switch {
-		case math.IsInf(cost, 1):
-			score[qi] = 0
-		case cost == 0:
-			score[qi] = math.Inf(1)
-		default:
-			score[qi] = u / cost
-		}
-		if score[qi] > 0 {
-			heap.Push(h, scoreEntry{qi, score[qi]})
-		}
-	}
-	for qi := range in.Queries() {
-		refresh(qi)
-	}
-
+	q := cover.NewIG1Queue(t)
 	steps := 0
-	for h.Len() > 0 && t.Utility() < target-1e-9 {
-		e := heap.Pop(h).(scoreEntry)
-		qi := e.ci
-		if t.Covered(qi) || score[qi] == 0 {
-			continue
-		}
-		if e.score > score[qi]+1e-12 || e.score < score[qi]-1e-12 {
-			heap.Push(h, scoreEntry{qi, score[qi]})
-			continue
-		}
-		touched := map[int]bool{}
-		for _, c := range covSets[qi] {
-			for _, q2 := range t.RelevantQueries(c) {
-				touched[q2] = true
-			}
-			t.Add(c)
-		}
-		if len(covSets[qi]) == 0 {
-			score[qi] = 0
-			continue
-		}
-		steps++
-		for q2 := range touched {
-			refresh(q2)
+	for q.Len() > 0 && t.Utility() < target-1e-9 {
+		if qi, ok := q.Pop(); ok {
+			q.Select(qi)
+			steps++
 		}
 	}
 	return resultFrom(t, target, steps, start)
@@ -416,81 +365,13 @@ func SolveIG1(in *model.Instance, target float64) Result {
 func SolveIG2(in *model.Instance, target float64) Result {
 	start := time.Now()
 	t := cover.New(in)
-	util := make(map[string]float64)
-	for _, q := range in.Queries() {
-		u := q.Utility
-		q.Props.Subsets(func(sub propset.Set) {
-			util[sub.Key()] += u
-		})
-	}
-	classifiers := in.Classifiers()
-	scoreOf := func(ci int) float64 {
-		c := classifiers[ci]
-		u := util[c.Props.Key()]
-		if u <= 0 {
-			return 0
-		}
-		if c.Cost == 0 {
-			return math.Inf(1)
-		}
-		return u / c.Cost
-	}
-	h := &scoreHeap{}
-	heap.Init(h)
-	for ci := range classifiers {
-		if s := scoreOf(ci); s > 0 {
-			heap.Push(h, scoreEntry{ci, s})
-		}
-	}
+	q := cover.NewIG2Queue(t)
 	steps := 0
-	for h.Len() > 0 && t.Utility() < target-1e-9 {
-		e := heap.Pop(h).(scoreEntry)
-		c := classifiers[e.ci]
-		if t.Has(c.Props) {
-			continue
-		}
-		s := scoreOf(e.ci)
-		if s == 0 {
-			continue
-		}
-		if e.score > s+1e-12 {
-			heap.Push(h, scoreEntry{e.ci, s})
-			continue
-		}
-		rel := t.RelevantQueries(c.Props)
-		before := make([]bool, len(rel))
-		for i, qi := range rel {
-			before[i] = t.Covered(qi)
-		}
-		t.Add(c.Props)
-		steps++
-		for i, qi := range rel {
-			if t.Covered(qi) && !before[i] {
-				u := in.Queries()[qi].Utility
-				in.Queries()[qi].Props.Subsets(func(sub propset.Set) {
-					util[sub.Key()] -= u
-				})
-			}
+	for q.Len() > 0 && t.Utility() < target-1e-9 {
+		if ci, ok := q.Pop(); ok {
+			q.Select(ci)
+			steps++
 		}
 	}
 	return resultFrom(t, target, steps, start)
-}
-
-type scoreEntry struct {
-	ci    int
-	score float64
-}
-
-type scoreHeap []scoreEntry
-
-func (h scoreHeap) Len() int            { return len(h) }
-func (h scoreHeap) Less(i, j int) bool  { return h[i].score > h[j].score }
-func (h scoreHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *scoreHeap) Push(x interface{}) { *h = append(*h, x.(scoreEntry)) }
-func (h *scoreHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	it := old[n-1]
-	*h = old[:n-1]
-	return it
 }

@@ -20,11 +20,11 @@
 package mc3
 
 import (
-	"container/heap"
 	"math"
 	"sort"
 
 	"repro/internal/guard"
+	"repro/internal/heapq"
 	"repro/internal/maxflow"
 	"repro/internal/propset"
 )
@@ -258,27 +258,27 @@ func SolveGreedy(inp Input) Output {
 		}
 		return cands[i].cost / float64(slots)
 	}
-	h := &candHeap{}
-	heap.Init(h)
+	// The cheapest cost per slot pops first: keys are negated scores.
+	var h heapq.Max
 	for i := range cands {
 		if slots := newSlotsOf(i); slots > 0 {
-			heap.Push(h, candEntry{i, scoreOf(i, slots)})
+			h.Push(heapq.Entry{I: i, Key: -scoreOf(i, slots)})
 		}
 	}
 	for remainingSlots > 0 && h.Len() > 0 {
-		e := heap.Pop(h).(candEntry)
-		if _, ok := chosen[cands[e.i].c.Key()]; ok {
+		e := h.Pop()
+		if _, ok := chosen[cands[e.I].c.Key()]; ok {
 			continue
 		}
-		slots := newSlotsOf(e.i)
+		slots := newSlotsOf(e.I)
 		if slots == 0 {
 			continue
 		}
-		if cur := scoreOf(e.i, slots); cur > e.score+1e-12 {
-			heap.Push(h, candEntry{e.i, cur})
+		if cur := scoreOf(e.I, slots); cur > -e.Key+1e-12 {
+			h.Push(heapq.Entry{I: e.I, Key: -cur})
 			continue
 		}
-		cand := cands[e.i]
+		cand := cands[e.I]
 		chosen[cand.c.Key()] = cand.c
 		for _, qi := range cand.queries {
 			if !coverable[qi] {
@@ -391,23 +391,4 @@ func (o Output) Covers(q propset.Set) bool {
 		}
 	})
 	return acc.Equal(q)
-}
-
-type candEntry struct {
-	i     int
-	score float64
-}
-
-type candHeap []candEntry
-
-func (h candHeap) Len() int            { return len(h) }
-func (h candHeap) Less(i, j int) bool  { return h[i].score < h[j].score }
-func (h candHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *candHeap) Push(x interface{}) { *h = append(*h, x.(candEntry)) }
-func (h *candHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	it := old[n-1]
-	*h = old[:n-1]
-	return it
 }

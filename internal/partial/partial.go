@@ -14,7 +14,6 @@
 package partial
 
 import (
-	"container/heap"
 	"context"
 	"fmt"
 	"math"
@@ -22,6 +21,7 @@ import (
 	"time"
 
 	"repro/internal/guard"
+	"repro/internal/heapq"
 	"repro/internal/model"
 	"repro/internal/propset"
 )
@@ -229,28 +229,27 @@ func SolveCtx(ctx context.Context, in *model.Instance, gfn Gain) (res Result) {
 		}
 		return m / c.Cost
 	}
-	h := &entryHeap{}
-	heap.Init(h)
+	var h heapq.Max
 	for ci := range cls {
 		if sc := scoreOf(ci); sc > 0 {
-			heap.Push(h, pEntry{ci, sc})
+			h.Push(heapq.Entry{I: ci, Key: sc})
 		}
 	}
 	for h.Len() > 0 {
 		if g.Check() {
 			return finish()
 		}
-		e := heap.Pop(h).(pEntry)
-		c := cls[e.ci]
+		e := h.Pop()
+		c := cls[e.I]
 		if st.sel[c.Props.Key()] {
 			continue
 		}
-		sc := scoreOf(e.ci)
+		sc := scoreOf(e.I)
 		if sc <= 0 {
 			continue
 		}
-		if e.score > sc+1e-12 {
-			heap.Push(h, pEntry{e.ci, sc}) // stale (marginals only shrink)
+		if e.Key > sc+1e-12 {
+			h.Push(heapq.Entry{I: e.I, Key: sc}) // stale (marginals only shrink)
 			continue
 		}
 		if c.Cost > in.Budget()-st.cost+1e-9 {
@@ -374,25 +373,4 @@ func cloneState(st *state) *state {
 		cp.sel[k] = true
 	}
 	return cp
-}
-
-type pEntry struct {
-	ci    int
-	score float64
-}
-
-type entryHeap []pEntry
-
-func (h entryHeap) Len() int           { return len(h) }
-func (h entryHeap) Less(i, j int) bool { return h[i].score > h[j].score }
-func (h entryHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
-func (h *entryHeap) Push(x interface{}) {
-	*h = append(*h, x.(pEntry))
-}
-func (h *entryHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	it := old[n-1]
-	*h = old[:n-1]
-	return it
 }

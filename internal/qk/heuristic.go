@@ -1,7 +1,6 @@
 package qk
 
 import (
-	"container/heap"
 	"math"
 	"math/rand"
 	"runtime"
@@ -9,6 +8,7 @@ import (
 	"sync"
 
 	"repro/internal/guard"
+	"repro/internal/heapq"
 	"repro/internal/obs"
 	"repro/internal/wgraph"
 )
@@ -391,14 +391,13 @@ func (st *countState) totalSelected() int {
 // no positive gain exists it seeds with the cross-edge of the highest
 // per-copy-pair weight.
 func (st *countState) greedyFill(gu *guard.Guard, k int) {
-	h := &gainHeap{}
-	heap.Init(h)
+	h := &heapq.Max{}
 	gain := make([]float64, len(st.s))
 	for v := range st.s {
 		if st.active[v] {
 			gain[v] = st.bonus[v] / float64(st.c[v])
 			if gain[v] > 0 {
-				heap.Push(h, gainItem{v, gain[v]})
+				h.Push(heapq.Entry{I: v, Key: gain[v]})
 			}
 		}
 	}
@@ -409,19 +408,19 @@ func (st *countState) greedyFill(gu *guard.Guard, k int) {
 		}
 		v := -1
 		for h.Len() > 0 {
-			it := heap.Pop(h).(gainItem)
-			if st.s[it.node] >= st.c[it.node] {
+			it := h.Pop()
+			if st.s[it.I] >= st.c[it.I] {
 				continue
 			}
-			if it.gain < gain[it.node]-1e-12 {
-				heap.Push(h, gainItem{it.node, gain[it.node]})
+			if it.Key < gain[it.I]-1e-12 {
+				h.Push(heapq.Entry{I: it.I, Key: gain[it.I]})
 				continue
 			}
-			if it.gain <= 0 {
-				h.reset()
+			if it.Key <= 0 {
+				h.Reset()
 				break
 			}
-			v = it.node
+			v = it.I
 			break
 		}
 		if v < 0 {
@@ -453,18 +452,18 @@ func (st *countState) greedyFill(gu *guard.Guard, k int) {
 	}
 }
 
-func (st *countState) place(v int, gain []float64, h *gainHeap) {
+func (st *countState) place(v int, gain []float64, h *heapq.Max) {
 	st.s[v]++
 	st.g.Neighbors(v, func(u int, w float64, _ int) {
 		if st.active[u] && st.side[u] != st.side[v] {
 			gain[u] += w / (float64(st.c[u]) * float64(st.c[v]))
 			if st.s[u] < st.c[u] {
-				heap.Push(h, gainItem{u, gain[u]})
+				h.Push(heapq.Entry{I: u, Key: gain[u]})
 			}
 		}
 	})
 	if st.s[v] < st.c[v] {
-		heap.Push(h, gainItem{v, gain[v]})
+		h.Push(heapq.Entry{I: v, Key: gain[v]})
 	}
 }
 
@@ -641,23 +640,3 @@ func (st *countState) edgeShare(u, v int) float64 {
 	}
 	return w / (float64(st.c[u]) * float64(st.c[v]))
 }
-
-type gainItem struct {
-	node int
-	gain float64
-}
-
-type gainHeap []gainItem
-
-func (h gainHeap) Len() int            { return len(h) }
-func (h gainHeap) Less(i, j int) bool  { return h[i].gain > h[j].gain }
-func (h gainHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *gainHeap) Push(x interface{}) { *h = append(*h, x.(gainItem)) }
-func (h *gainHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	it := old[n-1]
-	*h = old[:n-1]
-	return it
-}
-func (h *gainHeap) reset() { *h = (*h)[:0] }

@@ -23,11 +23,11 @@
 package qk
 
 import (
-	"container/heap"
 	"math"
 	"sort"
 
 	"repro/internal/guard"
+	"repro/internal/heapq"
 	"repro/internal/wgraph"
 )
 
@@ -115,12 +115,11 @@ func greedyGrow(gu *guard.Guard, g *wgraph.Graph, budget float64, start []int) [
 		}
 		return gv / math.Max(g.Cost(v), 1e-9)
 	}
-	h := &growHeap{}
-	heap.Init(h)
+	var h heapq.Max
 	for v := 0; v < n; v++ {
 		if !in[v] {
 			if sc := score(v); sc > 0 {
-				heap.Push(h, growEntry{v, sc})
+				h.Push(heapq.Entry{I: v, Key: sc})
 			}
 		}
 	}
@@ -128,8 +127,8 @@ func greedyGrow(gu *guard.Guard, g *wgraph.Graph, budget float64, start []int) [
 		if gu.Check() {
 			break
 		}
-		e := heap.Pop(h).(growEntry)
-		v := e.v
+		e := h.Pop()
+		v := e.I
 		if in[v] {
 			continue
 		}
@@ -137,8 +136,8 @@ func greedyGrow(gu *guard.Guard, g *wgraph.Graph, budget float64, start []int) [
 		if sc <= 0 {
 			continue
 		}
-		if math.Abs(sc-e.score) > 1e-12 {
-			heap.Push(h, growEntry{v, sc})
+		if math.Abs(sc-e.Key) > 1e-12 {
+			h.Push(heapq.Entry{I: v, Key: sc})
 			continue
 		}
 		if g.Cost(v) > budget-cost+1e-9 {
@@ -151,31 +150,12 @@ func greedyGrow(gu *guard.Guard, g *wgraph.Graph, budget float64, start []int) [
 			if !in[u] {
 				gain[u] += w
 				if sc := score(u); sc > 0 {
-					heap.Push(h, growEntry{u, sc})
+					h.Push(heapq.Entry{I: u, Key: sc})
 				}
 			}
 		})
 	}
 	return out
-}
-
-type growEntry struct {
-	v     int
-	score float64
-}
-
-type growHeap []growEntry
-
-func (h growHeap) Len() int            { return len(h) }
-func (h growHeap) Less(i, j int) bool  { return h[i].score > h[j].score }
-func (h growHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *growHeap) Push(x interface{}) { *h = append(*h, x.(growEntry)) }
-func (h *growHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	it := old[n-1]
-	*h = old[:n-1]
-	return it
 }
 
 // BruteForce enumerates all node subsets; for tests on tiny graphs only.

@@ -12,8 +12,8 @@
 // classifiers: the popped candidate's gain is recomputed against the
 // current coverage and the candidate is either selected (still ahead of
 // the next-best), re-pushed (stale), or dropped (no residual overlap or
-// permanently unaffordable). The heap is hand-rolled so the selection
-// loop does not allocate.
+// permanently unaffordable). The heap is internal/heapq's unboxed one,
+// so the selection loop does not allocate.
 //
 // The marginal-gain surrogate for classifier c is
 //
@@ -38,6 +38,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/cover"
 	"repro/internal/guard"
+	"repro/internal/heapq"
 	"repro/internal/model"
 	"repro/internal/obs"
 	"repro/internal/propset"
@@ -264,36 +265,36 @@ func lazyGreedy(g *guard.Guard, t *cover.Tracker, scaled bool) int {
 	// positive initial score enters the queue. The heap never grows past
 	// its initial size (each pop re-pushes at most once), so the loop
 	// below stays allocation-free.
-	h := make(lazyHeap, 0, len(sc.classifiers))
+	h := make(heapq.Max, 0, len(sc.classifiers))
 	for ci := range sc.classifiers {
 		if sc.classifiers[ci].Cost <= 0 || t.Has(sc.classifiers[ci].Props) {
 			continue
 		}
 		if s := score(ci); s > 0 {
-			h = append(h, centry{ci, s})
+			h = append(h, heapq.Entry{I: ci, Key: s})
 		}
 	}
-	h.init()
+	h.Init()
 
 	steps := 0
-	for len(h) > 0 {
+	for h.Len() > 0 {
 		if g.Check() {
 			break
 		}
 		guard.Inject("submod.step")
-		e := h.pop()
-		s := score(e.ci)
+		e := h.Pop()
+		s := score(e.I)
 		if s <= 0 {
 			// No residual overlap left: the candidate can never gain
 			// again (residuals only shrink), drop it permanently.
 			continue
 		}
-		if len(h) > 0 && s < h[0].score-1e-12 {
+		if h.Len() > 0 && s < h[0].Key-1e-12 {
 			// Stale: worse than the next-best claim, re-enqueue.
-			h.push(centry{e.ci, s})
+			h.Push(heapq.Entry{I: e.I, Key: s})
 			continue
 		}
-		c := sc.classifiers[e.ci]
+		c := sc.classifiers[e.I]
 		if c.Cost > t.Remaining()+1e-9 {
 			// The remaining budget only shrinks: drop permanently.
 			continue
@@ -302,67 +303,4 @@ func lazyGreedy(g *guard.Guard, t *cover.Tracker, scaled bool) int {
 		steps++
 	}
 	return steps
-}
-
-// centry is one lazy-queue candidate: a classifier index with its last
-// computed score.
-type centry struct {
-	ci    int
-	score float64
-}
-
-// lazyHeap is a hand-rolled max-heap over centry. container/heap would
-// box every Push/Pop value into an interface, allocating on the hot
-// path; the explicit version keeps the selection loop alloc-free.
-type lazyHeap []centry
-
-func (h lazyHeap) init() {
-	for i := len(h)/2 - 1; i >= 0; i-- {
-		h.down(i)
-	}
-}
-
-func (h *lazyHeap) push(e centry) {
-	*h = append(*h, e)
-	h.up(len(*h) - 1)
-}
-
-func (h *lazyHeap) pop() centry {
-	old := *h
-	top := old[0]
-	n := len(old) - 1
-	old[0] = old[n]
-	*h = old[:n]
-	(*h).down(0)
-	return top
-}
-
-func (h lazyHeap) up(i int) {
-	for i > 0 {
-		parent := (i - 1) / 2
-		if h[parent].score >= h[i].score {
-			break
-		}
-		h[parent], h[i] = h[i], h[parent]
-		i = parent
-	}
-}
-
-func (h lazyHeap) down(i int) {
-	n := len(h)
-	for {
-		l, r := 2*i+1, 2*i+2
-		best := i
-		if l < n && h[l].score > h[best].score {
-			best = l
-		}
-		if r < n && h[r].score > h[best].score {
-			best = r
-		}
-		if best == i {
-			return
-		}
-		h[i], h[best] = h[best], h[i]
-		i = best
-	}
 }

@@ -231,18 +231,3 @@ func TestScorerGainAllocs(t *testing.T) {
 	}
 	_ = sink
 }
-
-func TestLazyHeapOrdering(t *testing.T) {
-	h := make(lazyHeap, 0, 8)
-	for _, s := range []float64{3, 1, 4, 1.5, 9, 2.6} {
-		h.push(centry{ci: int(s * 10), score: s})
-	}
-	prev := float64(10)
-	for len(h) > 0 {
-		e := h.pop()
-		if e.score > prev {
-			t.Fatalf("heap popped %v after %v", e.score, prev)
-		}
-		prev = e.score
-	}
-}
